@@ -1,8 +1,11 @@
 //! Criterion microbenches for the serving path: per-item compute, sharded
-//! cache hits, batch entry points, and snapshot table lookups.
+//! cache hits, batch entry points, snapshot table lookups, and the wire
+//! checksum and frame encoder every daemon response goes through.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pkgm_bench::{world, Scale};
+use pkgm_core::artifact::crc32;
+use pkgm_core::protocol::encode_rows_response;
 use pkgm_core::{
     CachedService, KnowledgeService, PkgmModel, ServiceScratch, ServiceSnapshot, Trainer,
 };
@@ -51,9 +54,28 @@ fn bench_serving(c: &mut Criterion) {
     });
 }
 
+fn bench_wire(c: &mut Criterion) {
+    // 8 KiB is the body of a 32-row × 64-float rows frame; 1 MiB is a
+    // snapshot-section-sized buffer.
+    let bytes: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    c.bench_function("serving/crc32_8k", |b| {
+        b.iter(|| crc32(black_box(&bytes[..8 << 10])))
+    });
+    c.bench_function("serving/crc32_1m", |b| b.iter(|| crc32(black_box(&bytes))));
+
+    let rows: Vec<Vec<f32>> = (0..32)
+        .map(|r| (0..64).map(|i| (r * 64 + i) as f32 * 0.25).collect())
+        .collect();
+    c.bench_function("serving/encode_rows_32x64", |b| {
+        b.iter(|| encode_rows_response(64, black_box(&rows).iter().map(Vec::as_slice)))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_serving
+    targets = bench_serving, bench_wire
 }
 criterion_main!(benches);

@@ -220,10 +220,13 @@ impl std::error::Error for ArtifactError {
 
 // --- CRC32 (IEEE 802.3, reflected) -----------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slice-by-16 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so one 16-byte block folds in with 16 independent lookups.
+const CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -236,10 +239,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC32 (IEEE) of `bytes`. Detects all single-bit flips and all burst
@@ -253,10 +266,33 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// finish with a final bitwise-not. Lets the streaming snapshot writer
 /// checksum sections it never holds in memory at once;
 /// `crc32(b) == !crc32_update(!0, b)`.
+///
+/// Slice-by-16: each 16-byte block costs 16 table lookups with no serial
+/// dependency between them, instead of 16 dependent bytewise steps.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let mut c = state;
+    let (blocks, rest) = bytes.as_chunks::<16>();
+    for &(mut block) in blocks {
+        let head = c ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        block[..4].copy_from_slice(&head.to_le_bytes());
+        c = block
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (j, &b)| acc ^ CRC_TABLES[15 - j][b as usize]);
+    }
+    for &b in rest {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The bytewise CRC32 loop: the test oracle every checksum in the crate
+/// is compared against.
+#[cfg(test)]
+pub(crate) fn crc32_update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+    let mut c = state;
     for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -441,6 +477,7 @@ pub fn read_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p() -> PathBuf {
         PathBuf::from("test.pkgm")
@@ -451,6 +488,78 @@ mod tests {
         // Standard IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bytes `0..=255` from a `u16` strategy (the proptest stand-in has
+    /// half-open ranges only).
+    fn bytes(raw: Vec<u16>) -> Vec<u8> {
+        raw.into_iter().map(|b| b as u8).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every prefix length 0..=4096 — every length mod 16, every
+        /// remainder the block loop leaves — matches the bytewise oracle.
+        #[test]
+        fn crc32_matches_the_bytewise_oracle_at_every_length(
+            raw in prop::collection::vec(0u16..256, 4096),
+        ) {
+            let buf = bytes(raw);
+            let mut oracle = !0u32;
+            for len in 0..=buf.len() {
+                prop_assert_eq!((len, crc32(&buf[..len])), (len, !oracle));
+                if len < buf.len() {
+                    oracle = crc32_update_bytewise(oracle, &buf[len..=len]);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Streaming writers feed sections in arbitrary pieces: any split
+        /// of a buffer, from any starting state, folds to the one-shot
+        /// value and to the oracle's.
+        #[test]
+        fn crc32_update_is_split_invariant(
+            raw in prop::collection::vec(0u16..256, 0..2048),
+            cuts in prop::collection::vec(0usize..2048, 0..8),
+            state in 0u32..u32::MAX,
+        ) {
+            let buf = bytes(raw);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(buf.len())).collect();
+            cuts.push(buf.len());
+            cuts.sort_unstable();
+            let (mut split, mut at) = (state, 0);
+            for cut in cuts {
+                split = crc32_update(split, &buf[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(split, crc32_update(state, &buf));
+            prop_assert_eq!(split, crc32_update_bytewise(state, &buf));
+            if state == !0 {
+                prop_assert_eq!(!split, crc32(&buf));
+            }
+        }
+    }
+
+    #[test]
+    fn artifacts_checksummed_by_the_oracle_are_byte_identical() {
+        let payload: Vec<u8> = (0..4099u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let mut by_oracle = Vec::new();
+        by_oracle.extend_from_slice(ARTIFACT_MAGIC);
+        by_oracle.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+        by_oracle.extend_from_slice(&ArtifactKind::Checkpoint.as_u32().to_le_bytes());
+        by_oracle.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        by_oracle.extend_from_slice(&(!crc32_update_bytewise(!0, &payload)).to_le_bytes());
+        by_oracle.extend_from_slice(&payload);
+        assert_eq!(encode(ArtifactKind::Checkpoint, &payload), by_oracle);
+        let back = decode(&p(), ArtifactKind::Checkpoint, &by_oracle).unwrap();
+        assert_eq!(back, &payload[..]);
     }
 
     #[test]

@@ -738,6 +738,13 @@ fn accept_loop(
             Err(_) if shared.shutting_down.load(Ordering::SeqCst) => return,
             Err(_) => continue,
         };
+        // Shutdown wakes us by connecting to ourselves (initiate_shutdown,
+        // and the watchdog after a respawn). Check before admission: at
+        // `max_conns` that wake-up would otherwise be shed as Overloaded
+        // and we would block in accept() forever.
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
         // Chaos hook: die here, dropping the accepted connection, so the
         // netcheck battery can prove the watchdog resurrects the acceptor.
         if chaos_take_accept_panic(shared) {

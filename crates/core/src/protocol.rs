@@ -405,38 +405,48 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
 
 /// Encode a request into a full frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut out = frame_start(0);
     match req {
         Request::Lookup(items) => {
-            body.push(op::LOOKUP);
-            body.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for id in items {
-                body.extend_from_slice(&id.to_le_bytes());
-            }
+            out.push(op::LOOKUP);
+            put_ids(&mut out, items);
         }
         Request::LookupDeadline {
             budget_micros,
             items,
         } => {
-            body.push(op::LOOKUP_DL);
-            body.extend_from_slice(&budget_micros.to_le_bytes());
-            body.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for id in items {
-                body.extend_from_slice(&id.to_le_bytes());
-            }
+            out.push(op::LOOKUP_DL);
+            out.extend_from_slice(&budget_micros.to_le_bytes());
+            put_ids(&mut out, items);
         }
-        Request::Ping => body.push(op::PING),
-        Request::Stats => body.push(op::STATS),
-        Request::Health => body.push(op::HEALTH),
-        Request::Ready => body.push(op::READY),
-        Request::ShardMap => body.push(op::SHARD_MAP),
+        Request::Ping => out.push(op::PING),
+        Request::Stats => out.push(op::STATS),
+        Request::Health => out.push(op::HEALTH),
+        Request::Ready => out.push(op::READY),
+        Request::ShardMap => out.push(op::SHARD_MAP),
         Request::Reload(path) => {
-            body.push(op::RELOAD);
-            body.extend_from_slice(path.as_bytes());
+            out.push(op::RELOAD);
+            out.extend_from_slice(path.as_bytes());
         }
-        Request::Shutdown => body.push(op::SHUTDOWN),
+        Request::Shutdown => out.push(op::SHUTDOWN),
     }
-    frame(body)
+    finish_frame(out)
+}
+
+/// Append a lookup's `n: u32` count and its `n × u32` ids.
+fn put_ids(out: &mut Vec<u8>, items: &[u32]) {
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    put_le32(out, items, u32::to_le_bytes);
+}
+
+/// Append `values` as 4-byte little-endian words: one resize, then a
+/// chunked copy — no per-value capacity check.
+fn put_le32<T: Copy>(out: &mut Vec<u8>, values: &[T], to_le: impl Fn(T) -> [u8; 4]) {
+    let start = out.len();
+    out.resize(start + values.len() * 4, 0);
+    for (dst, &v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&to_le(v));
+    }
 }
 
 /// Decode a response body (tag + payload, no length prefix).
@@ -553,36 +563,28 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtocolError> {
 
 /// Encode a response into a full frame (length prefix included).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut out = frame_start(0);
     match resp {
         Response::Rows { row_len, rows } => {
-            body.push(status::OK_ROWS);
-            body.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-            body.extend_from_slice(&row_len.to_le_bytes());
-            for row in rows {
-                debug_assert_eq!(row.len(), *row_len as usize);
-                for x in row {
-                    body.extend_from_slice(&x.to_le_bytes());
-                }
-            }
+            return encode_rows_response(*row_len, rows.iter().map(Vec::as_slice));
         }
-        Response::Empty => body.push(status::OK),
+        Response::Empty => out.push(status::OK),
         Response::Json(json) => {
-            body.push(status::OK_JSON);
-            body.extend_from_slice(json.as_bytes());
+            out.push(status::OK_JSON);
+            out.extend_from_slice(json.as_bytes());
         }
-        Response::Overloaded => body.push(status::OVERLOADED),
+        Response::Overloaded => out.push(status::OVERLOADED),
         Response::DeadlineExceeded(stage) => {
-            body.push(status::DEADLINE_EXCEEDED);
-            body.push(*stage as u8);
+            out.push(status::DEADLINE_EXCEEDED);
+            out.push(*stage as u8);
         }
         Response::BadRequest(msg) => {
-            body.push(status::BAD_REQUEST);
-            body.extend_from_slice(msg.as_bytes());
+            out.push(status::BAD_REQUEST);
+            out.extend_from_slice(msg.as_bytes());
         }
         Response::ServerError(msg) => {
-            body.push(status::SERVER_ERROR);
-            body.extend_from_slice(msg.as_bytes());
+            out.push(status::SERVER_ERROR);
+            out.extend_from_slice(msg.as_bytes());
         }
         Response::WrongShard {
             id,
@@ -591,15 +593,15 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             row_start,
             n_rows,
         } => {
-            body.push(status::WRONG_SHARD);
-            body.extend_from_slice(&id.to_le_bytes());
-            body.extend_from_slice(&shard_id.to_le_bytes());
-            body.extend_from_slice(&n_shards.to_le_bytes());
-            body.extend_from_slice(&row_start.to_le_bytes());
-            body.extend_from_slice(&n_rows.to_le_bytes());
+            out.push(status::WRONG_SHARD);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&shard_id.to_le_bytes());
+            out.extend_from_slice(&n_shards.to_le_bytes());
+            out.extend_from_slice(&row_start.to_le_bytes());
+            out.extend_from_slice(&n_rows.to_le_bytes());
         }
     }
-    frame(body)
+    finish_frame(out)
 }
 
 /// Encode an `Ok` rows response directly from borrowed rows — the daemon's
@@ -609,38 +611,49 @@ pub fn encode_rows_response<'a>(
     row_len: u32,
     rows: impl ExactSizeIterator<Item = &'a [f32]>,
 ) -> Vec<u8> {
-    let mut body = Vec::with_capacity(ROWS_HEADER_LEN + rows.len() * row_len as usize * 4);
-    body.push(status::OK_ROWS);
-    body.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    body.extend_from_slice(&row_len.to_le_bytes());
+    let mut out = frame_start(ROWS_HEADER_LEN + rows.len() * row_len as usize * 4);
+    out.push(status::OK_ROWS);
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    out.extend_from_slice(&row_len.to_le_bytes());
     for row in rows {
         debug_assert_eq!(row.len(), row_len as usize);
-        for x in row {
-            body.extend_from_slice(&x.to_le_bytes());
-        }
+        put_le32(&mut out, row, f32::to_le_bytes);
     }
-    frame(body)
+    finish_frame(out)
 }
 
-/// Prefix `body` with its CRC-flagged length and CRC32 trailer (a v2
-/// frame). Decoders that predate the flag reject it with `FrameTooLarge`;
-/// [`downgrade_frame`] exists for talking to them.
+/// Bytes before a v2 frame's body: the flagged length prefix and the CRC32.
+const FRAME_HEADER_LEN: usize = 8;
+
+/// Start a v2 frame: a placeholder header with room for `body_hint` body
+/// bytes after it. The encoder writes the body straight into this buffer
+/// and [`finish_frame`] patches the header in place, so the body is never
+/// copied a second time.
+fn frame_start(body_hint: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body_hint);
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    out
+}
+
+/// Fill in the header [`frame_start`] reserved: the CRC-flagged length and
+/// the CRC32 of the body (a v2 frame). Decoders that predate the flag
+/// reject it with `FrameTooLarge`; [`downgrade_frame`] exists for talking
+/// to them.
 ///
 /// # Panics
 /// If the body exceeds [`MAX_FRAME_LEN`] — a backstop, enforced in every
 /// build: callers bound their payloads up front ([`MAX_LOOKUP_ITEMS`],
 /// [`MAX_RELOAD_PATH_LEN`], [`max_lookup_items_for_row_len`]) so a frame
 /// the peer would reject is a caller bug, not a runtime condition.
-fn frame(body: Vec<u8>) -> Vec<u8> {
+fn finish_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let (header, body) = out.split_at_mut(FRAME_HEADER_LEN);
     assert!(
         body.len() <= MAX_FRAME_LEN as usize,
         "frame body of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
         body.len()
     );
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32 | FRAME_FLAG_CRC).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend(body);
+    header[..4].copy_from_slice(&(body.len() as u32 | FRAME_FLAG_CRC).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
     out
 }
 
@@ -912,7 +925,7 @@ mod tests {
         assert!(worst > MAX_FRAME_LEN as u64, "cap must be tight");
         let fits = ROWS_HEADER_LEN as u64 + cap as u64 * 1024 * 4;
         assert!(fits <= MAX_FRAME_LEN as u64, "cap-sized response must fit");
-        // A cap-sized response really frames (no panic in `frame`); v2
+        // A cap-sized response really frames (no panic in `finish_frame`); v2
         // overhead is the 4-byte prefix plus the 4-byte CRC trailer.
         let row = vec![0.0f32; 1024];
         let framed = encode_rows_response(1024, (0..cap as usize).map(|_| row.as_slice()));
@@ -974,6 +987,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn frames_checksummed_by_the_oracle_are_byte_identical() {
+        // Bodies built one value at a time, framed with the bytewise CRC
+        // oracle: the encoders must emit exactly these bytes, and the
+        // decoder must accept them.
+        let oracle_frame = |body: &[u8]| {
+            let mut framed = (body.len() as u32 | FRAME_FLAG_CRC).to_le_bytes().to_vec();
+            let crc = !crate::artifact::crc32_update_bytewise(!0, body);
+            framed.extend_from_slice(&crc.to_le_bytes());
+            framed.extend_from_slice(body);
+            framed
+        };
+        let rows: Vec<Vec<f32>> = (0..32)
+            .map(|r| {
+                (0..64)
+                    .map(|c| (r * 64 + c) as f32 * -0.37 + 1e-3)
+                    .collect()
+            })
+            .collect();
+        let mut body = vec![status::OK_ROWS];
+        body.extend_from_slice(&32u32.to_le_bytes());
+        body.extend_from_slice(&64u32.to_le_bytes());
+        for x in rows.iter().flatten() {
+            body.extend_from_slice(&x.to_le_bytes());
+        }
+        let expected = oracle_frame(&body);
+        assert_eq!(
+            encode_rows_response(64, rows.iter().map(Vec::as_slice)),
+            expected
+        );
+        let resp = Response::Rows { row_len: 64, rows };
+        assert_eq!(encode_response(&resp), expected);
+        assert_eq!(read_frame(&mut &expected[..]).unwrap().unwrap(), body);
+
+        let items: Vec<u32> = (0..32).map(|i| i * 7919).collect();
+        let mut body = vec![op::LOOKUP_DL];
+        body.extend_from_slice(&1_500u64.to_le_bytes());
+        body.extend_from_slice(&32u32.to_le_bytes());
+        for id in &items {
+            body.extend_from_slice(&id.to_le_bytes());
+        }
+        let expected = oracle_frame(&body);
+        let req = Request::LookupDeadline {
+            budget_micros: 1_500,
+            items,
+        };
+        assert_eq!(encode_request(&req), expected);
+        assert_eq!(read_frame(&mut &expected[..]).unwrap().unwrap(), body);
     }
 
     #[test]

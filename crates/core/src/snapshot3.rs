@@ -1387,6 +1387,31 @@ mod tests {
     }
 
     #[test]
+    fn files_checksummed_by_the_oracle_are_byte_identical() {
+        // Rewrite every section CRC and the header CRC with the bytewise
+        // oracle: the file must not change, and it must still decode. The
+        // streaming writers are pinned to these bytes by the tests below.
+        let dense = ServiceSnapshot::build(&service_n(70));
+        for snap in [dense.clone(), dense.quantize()] {
+            let bytes = snapshot_to_ss3_bytes(&snap).unwrap();
+            let header = parse_header(&bytes).unwrap();
+            let oracle = |b: &[u8]| !crate::artifact::crc32_update_bytewise(!0, b);
+            let mut by_oracle = bytes.clone();
+            for (i, s) in header.sections.iter().enumerate() {
+                let body = &bytes[s.offset as usize..][..s.len as usize];
+                let at = HEADER_FIXED + i * SECTION_ENTRY + 4;
+                by_oracle[at..at + 4].copy_from_slice(&oracle(body).to_le_bytes());
+            }
+            let table_end = HEADER_FIXED + header.sections.len() * SECTION_ENTRY;
+            let header_crc = oracle(&by_oracle[..table_end]);
+            by_oracle[table_end..table_end + 4].copy_from_slice(&header_crc.to_le_bytes());
+            assert_eq!(by_oracle, bytes, "quantized = {}", snap.is_quantized());
+            let back = crate::serialize::snapshot_from_bytes(&by_oracle).unwrap();
+            assert_eq!(back, snap);
+        }
+    }
+
+    #[test]
     fn streaming_writer_matches_one_shot_bytes() {
         let snap = ServiceSnapshot::build(&service_n(33));
         let expect = snapshot_to_ss3_bytes(&snap).unwrap();

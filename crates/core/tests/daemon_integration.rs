@@ -12,6 +12,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const N_ITEMS: u32 = 24;
 const DIM: usize = 8;
@@ -48,6 +49,38 @@ fn start_daemon(svc: &KnowledgeService) -> Daemon {
         DaemonConfig::default(),
     )
     .expect("daemon binds an ephemeral port")
+}
+
+/// `Daemon::wait` on a helper thread, bounded by `limit`: a shutdown that
+/// never completes fails the test instead of hanging the suite.
+fn wait_within(daemon: Daemon, limit: Duration) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        daemon.wait();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("Daemon::wait did not return within {limit:?}"));
+    waiter.join().unwrap();
+}
+
+/// A daemon with `max_conns: 2` and two admitted clients, each proven
+/// registered by a served round trip.
+fn daemon_at_cap(seed: u64) -> (Daemon, DaemonClient, DaemonClient) {
+    let svc = service(seed);
+    let snap = ServiceSnapshot::build(&svc);
+    let cfg = DaemonConfig {
+        max_conns: 2,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start("127.0.0.1:0", svc, Some(snap), cfg).unwrap();
+    let addr = daemon.local_addr().to_string();
+    let mut a = DaemonClient::connect(&addr).unwrap();
+    let mut b = DaemonClient::connect(&addr).unwrap();
+    a.ping().unwrap();
+    b.ping().unwrap();
+    (daemon, a, b)
 }
 
 #[test]
@@ -390,20 +423,8 @@ fn health_and_ready_verbs_respond_over_the_wire() {
 
 #[test]
 fn max_conns_cap_sheds_with_typed_overloaded_at_accept() {
-    let svc = service(23);
-    let snap = ServiceSnapshot::build(&svc);
-    let cfg = DaemonConfig {
-        max_conns: 2,
-        ..DaemonConfig::default()
-    };
-    let daemon = Daemon::start("127.0.0.1:0", svc, Some(snap), cfg).unwrap();
+    let (daemon, mut a, b) = daemon_at_cap(23);
     let addr = daemon.local_addr().to_string();
-
-    // Two admitted connections, proven registered by a served round trip.
-    let mut a = DaemonClient::connect(&addr).unwrap();
-    let mut b = DaemonClient::connect(&addr).unwrap();
-    a.ping().unwrap();
-    b.ping().unwrap();
 
     // The third is past the cap: the daemon answers a typed Overloaded
     // frame at accept time and closes without reading the request.
@@ -419,17 +440,17 @@ fn max_conns_cap_sheds_with_typed_overloaded_at_accept() {
 
     // Freeing a slot readmits, and the shed was counted.
     drop(b);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     let stats = loop {
         match DaemonClient::connect(&addr).and_then(|mut d| d.stats()) {
             Ok(stats) => break stats,
             Err(_) => {
                 // The daemon notices the dropped handler asynchronously.
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "slot never freed after dropping an admitted connection"
                 );
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(20));
             }
         }
     };
@@ -442,7 +463,44 @@ fn max_conns_cap_sheds_with_typed_overloaded_at_accept() {
         "accept-time shed must be counted"
     );
     a.shutdown().unwrap();
-    daemon.wait();
+    wait_within(daemon, Duration::from_secs(5));
+}
+
+/// Shutdown over the wire at the cap races the acceptor's admission check
+/// against the admitted handlers' exit; the scenario is repeated so a
+/// regression cannot hide behind a lucky interleaving.
+const CAP_SHUTDOWN_ROUNDS: u64 = 40;
+
+#[test]
+fn shutdown_at_the_connection_cap_completes() {
+    // Shutdown wakes the acceptor by connecting to it; at the cap that
+    // wake-up must end the accept loop, not be shed as Overloaded.
+    for round in 0..CAP_SHUTDOWN_ROUNDS {
+        let (daemon, mut a, _b) = daemon_at_cap(100 + round);
+        a.shutdown().unwrap();
+        wait_within(daemon, Duration::from_secs(5));
+    }
+}
+
+#[test]
+fn shutdown_at_the_connection_cap_completes_after_an_acceptor_respawn() {
+    // Kill the acceptor at the cap; the watchdog's replacement must also
+    // end on the shutdown wake-up.
+    for round in 0..CAP_SHUTDOWN_ROUNDS {
+        let (daemon, mut a, _b) = daemon_at_cap(200 + round);
+        daemon.inject_accept_panic();
+        drop(TcpStream::connect(daemon.local_addr()).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon.restarts().1 == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "watchdog never respawned the acceptor"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        a.shutdown().unwrap();
+        wait_within(daemon, Duration::from_secs(5));
+    }
 }
 
 #[test]
