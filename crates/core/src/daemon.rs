@@ -239,8 +239,9 @@ struct DaemonCounters {
 struct Shared {
     holder: ServiceHolder,
     batcher: DynamicBatcher,
-    /// Master copy used to build each reload's [`CachedService`].
-    master: KnowledgeService,
+    /// The daemon's one model: every serving generation, the first and
+    /// each reload's, shares it.
+    master: Arc<KnowledgeService>,
     cfg: DaemonConfig,
     addr: SocketAddr,
     counters: DaemonCounters,
@@ -293,7 +294,8 @@ impl Shared {
             ));
         }
         let summary = snapshot_summary_json(&snap, Some(path));
-        let next = CachedService::with_snapshot(self.master.clone(), self.cfg.cache_capacity, snap);
+        let next =
+            CachedService::with_snapshot(Arc::clone(&self.master), self.cfg.cache_capacity, snap);
         self.holder.swap(next);
         self.counters.reloads.fetch_add(1, Ordering::Relaxed);
         Ok(serde_json::json!({
@@ -462,6 +464,7 @@ impl Daemon {
     ) -> io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let service = Arc::new(service);
         let cached = match snapshot {
             Some(snap) => {
                 if snap.dim() != service.dim() {
@@ -474,9 +477,9 @@ impl Daemon {
                         ),
                     ));
                 }
-                CachedService::with_snapshot(service.clone(), cfg.cache_capacity, snap)
+                CachedService::with_snapshot(Arc::clone(&service), cfg.cache_capacity, snap)
             }
-            None => CachedService::new(service.clone(), cfg.cache_capacity),
+            None => CachedService::new(Arc::clone(&service), cfg.cache_capacity),
         };
         let shared = Arc::new(Shared {
             holder: ServiceHolder::new(cached),
@@ -1176,12 +1179,28 @@ impl DaemonClient {
     /// daemon may have executed the request even though the response never
     /// arrived.
     pub fn attempt(&mut self, req: &Request) -> Result<Response, AttemptError> {
-        if let Err(e) = protocol::write_frame(&mut self.writer, &protocol::encode_request(req)) {
-            return Err(AttemptError {
+        self.send(req)?;
+        self.recv()
+    }
+
+    /// The write half of [`DaemonClient::attempt`]: hand the whole request
+    /// frame to the kernel. A failure here is always `request_sent ==
+    /// false`. Every successful `send` must be paired with one
+    /// [`DaemonClient::recv`] before the next `send`, or the connection
+    /// is left holding an unread response.
+    pub(crate) fn send(&mut self, req: &Request) -> Result<(), AttemptError> {
+        protocol::write_frame(&mut self.writer, &protocol::encode_request(req)).map_err(|e| {
+            AttemptError {
                 error: e.into(),
                 request_sent: false,
-            });
-        }
+            }
+        })
+    }
+
+    /// The read half of [`DaemonClient::attempt`]: read and decode the
+    /// response to the last [`DaemonClient::send`]. A failure here is
+    /// always `request_sent == true`.
+    pub(crate) fn recv(&mut self) -> Result<Response, AttemptError> {
         let sent = |error: ClientError| AttemptError {
             error,
             request_sent: true,
@@ -1473,6 +1492,26 @@ mod tests {
                 "reader must sample totals"
             );
         });
+    }
+
+    #[test]
+    fn every_generation_shares_the_one_model() {
+        let svc = master();
+        let snap = ServiceSnapshot::build(&svc);
+        let dir = std::env::temp_dir().join(format!("pkgm-daemon-model-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reload.pkgmss3");
+        serialize::write_snapshot_ss3_file(&crate::StdIo, &path, &snap).unwrap();
+        let daemon =
+            Daemon::start("127.0.0.1:0", svc, Some(snap), DaemonConfig::default()).unwrap();
+        let shared = Arc::clone(&daemon.shared);
+        let is_master = |gen: &CachedService| std::ptr::eq(gen.inner(), &*shared.master);
+        assert!(is_master(&shared.holder.get()), "first generation");
+        shared.reload(path.to_str().unwrap()).unwrap();
+        assert_eq!(shared.holder.swaps(), 1);
+        assert!(is_master(&shared.holder.get()), "reloaded generation");
+        daemon.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

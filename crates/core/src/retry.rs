@@ -277,7 +277,8 @@ impl RetryClient {
 
     /// Condensed service vectors for `items`, retried under the policy.
     pub fn lookup(&mut self, items: &[u32]) -> Result<Vec<Vec<f32>>, RetryError> {
-        self.call(Request::Lookup(items.to_vec()), items.len(), None)
+        let pending = self.start(items, None);
+        self.finish(pending)
     }
 
     /// Deadline-budgeted lookup: the budget rides in the request frame
@@ -288,38 +289,70 @@ impl RetryClient {
         items: &[u32],
         budget: Duration,
     ) -> Result<Vec<Vec<f32>>, RetryError> {
-        let req = Request::LookupDeadline {
-            budget_micros: budget.as_micros().min(u64::MAX as u128) as u64,
-            items: items.to_vec(),
-        };
-        self.call(req, items.len(), Some(budget))
+        let pending = self.start(items, Some(budget));
+        self.finish(pending)
     }
 
-    /// Run one logical request through connect → attempt → classify →
-    /// decide, sleeping between retries.
-    fn call(
+    /// The write half of a lookup: derive the call's policy, then connect,
+    /// set the socket timeout and write the first attempt's request. A
+    /// failure is not reported here; it is carried in the returned
+    /// [`PendingLookup`] for [`RetryClient::finish`] to classify. A
+    /// `deadline_budget` makes this a
+    /// [`RetryClient::lookup_with_deadline`].
+    ///
+    /// Callers fanning out to several daemons start every lookup before
+    /// finishing any, so the daemons serve in parallel. Each started
+    /// lookup must be finished on this client before the next `start`.
+    pub(crate) fn start(
         &mut self,
-        req: Request,
-        n_items: usize,
+        items: &[u32],
         deadline_budget: Option<Duration>,
-    ) -> Result<Vec<Vec<f32>>, RetryError> {
+    ) -> PendingLookup {
         self.calls += 1;
         let mut policy = self.policy.clone();
         // Derive a per-call jitter stream so concurrent clients sharing a
         // seed do not retry in lockstep.
         policy.seed = policy.seed.wrapping_add(self.calls.wrapping_mul(0x9E37));
-        if let Some(budget) = deadline_budget {
-            policy.budget = Some(match policy.budget {
-                Some(b) => b.min(budget),
-                None => budget,
-            });
-        }
+        let req = match deadline_budget {
+            Some(budget) => {
+                policy.budget = Some(match policy.budget {
+                    Some(b) => b.min(budget),
+                    None => budget,
+                });
+                Request::LookupDeadline {
+                    budget_micros: budget.as_micros().min(u64::MAX as u128) as u64,
+                    items: items.to_vec(),
+                }
+            }
+            None => Request::Lookup(items.to_vec()),
+        };
         let start = Instant::now();
+        let sent = self.send_attempt(&req, &policy, start);
+        PendingLookup {
+            req,
+            n_items: items.len(),
+            policy,
+            start,
+            sent,
+        }
+    }
+
+    /// The read half of a lookup: read the response to `pending`'s
+    /// request, then run classify → decide, sleeping, resending and
+    /// re-reading between retries.
+    pub(crate) fn finish(&mut self, pending: PendingLookup) -> Result<Vec<Vec<f32>>, RetryError> {
+        let PendingLookup {
+            req,
+            n_items,
+            policy,
+            start,
+            sent,
+        } = pending;
         let mut decider = RetryDecider::new(policy.clone());
-        let mut attempts = 0u32;
+        let mut attempts = 1u32;
+        let mut outcome = sent.and_then(|()| self.recv_attempt(n_items));
         loop {
-            attempts += 1;
-            let error = match self.attempt_once(&req, n_items, &policy, start) {
+            let error = match outcome {
                 Ok(rows) => return Ok(rows),
                 Err(e) => e,
             };
@@ -345,18 +378,21 @@ impl RetryClient {
                     });
                 }
             }
+            attempts += 1;
+            outcome = self
+                .send_attempt(&req, &policy, start)
+                .and_then(|()| self.recv_attempt(n_items));
         }
     }
 
-    /// One attempt: (re)connect if needed, bound the socket timeout by the
-    /// remaining budget, send, and validate the row shape.
-    fn attempt_once(
+    /// An attempt's write phase: (re)connect if needed, bound the socket
+    /// timeout by the remaining budget, and write the request.
+    fn send_attempt(
         &mut self,
         req: &Request,
-        n_items: usize,
         policy: &RetryPolicy,
         start: Instant,
-    ) -> Result<Vec<Vec<f32>>, AttemptFailure> {
+    ) -> Result<(), AttemptFailure> {
         // Per-attempt socket timeout: the default, shrunk to whatever of
         // the deadline budget remains.
         let timeout = match policy.budget {
@@ -386,31 +422,50 @@ impl RetryClient {
             self.client = None;
             return Err(AttemptFailure::Connect(e));
         }
-        match client.attempt(req) {
-            Ok(crate::protocol::Response::Rows { rows, .. }) => {
-                if rows.len() == n_items {
-                    Ok(rows)
-                } else {
-                    Err(AttemptFailure::Request(AttemptError {
-                        error: ClientError::Unexpected("row count mismatch"),
-                        request_sent: true,
-                    }))
-                }
-            }
-            Ok(_) => Err(AttemptFailure::Request(AttemptError {
-                error: ClientError::Unexpected("lookup expects rows"),
+        client.send(req).map_err(|e| self.poisoned(e))
+    }
+
+    /// An attempt's read phase: read the response to the request
+    /// [`RetryClient::send_attempt`] wrote, and validate the row shape.
+    fn recv_attempt(&mut self, n_items: usize) -> Result<Vec<Vec<f32>>, AttemptFailure> {
+        let client = self
+            .client
+            .as_mut()
+            .expect("a sent request has a connection");
+        let unexpected = |why| {
+            Err(AttemptFailure::Request(AttemptError {
+                error: ClientError::Unexpected(why),
                 request_sent: true,
-            })),
-            Err(e) => {
-                // Transport and protocol failures poison the connection's
-                // framing; reconnect on the next attempt.
-                if matches!(e.error, ClientError::Io(_) | ClientError::Protocol(_)) {
-                    self.client = None;
-                }
-                Err(AttemptFailure::Request(e))
-            }
+            }))
+        };
+        match client.recv() {
+            Ok(crate::protocol::Response::Rows { rows, .. }) if rows.len() == n_items => Ok(rows),
+            Ok(crate::protocol::Response::Rows { .. }) => unexpected("row count mismatch"),
+            Ok(_) => unexpected("lookup expects rows"),
+            Err(e) => Err(self.poisoned(e)),
         }
     }
+
+    /// Transport and protocol failures poison the connection's framing;
+    /// drop it so the next attempt reconnects.
+    fn poisoned(&mut self, e: AttemptError) -> AttemptFailure {
+        if matches!(e.error, ClientError::Io(_) | ClientError::Protocol(_)) {
+            self.client = None;
+        }
+        AttemptFailure::Request(e)
+    }
+}
+
+/// A lookup [`RetryClient::start`] has written (or failed to write), not
+/// yet read. Hand it back to the same client's [`RetryClient::finish`].
+#[must_use = "an unfinished lookup leaves its response unread on the connection"]
+pub(crate) struct PendingLookup {
+    req: Request,
+    n_items: usize,
+    policy: RetryPolicy,
+    start: Instant,
+    /// The first attempt's write-phase outcome.
+    sent: Result<(), AttemptFailure>,
 }
 
 /// Where an attempt failed: before a connection existed, or on one.
@@ -501,6 +556,32 @@ mod tests {
             schedule(11),
             schedule(12),
             "different seeds must jitter apart"
+        );
+    }
+
+    #[test]
+    fn start_then_finish_retries_exactly_like_lookup() {
+        // A port nothing listens on: every attempt is a refused connect.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap()
+            .to_string();
+        let mut whole = RetryClient::new(addr.clone(), quick_policy());
+        let mut split = RetryClient::new(addr, quick_policy());
+        let a = whole.lookup(&[1, 2, 3]).unwrap_err();
+        let pending = split.start(&[1, 2, 3], None);
+        let b = split.finish(pending).unwrap_err();
+        assert_eq!((a.attempts, a.reason), (b.attempts, b.reason));
+        assert_eq!((a.attempts, a.reason), (4, "retry count exhausted"));
+        assert!(matches!(a.last, ClientError::Io(_)) && matches!(b.last, ClientError::Io(_)));
+        assert_eq!(whole.stats(), split.stats());
+        assert_eq!(
+            split.stats(),
+            RetryStats {
+                retries: 3,
+                give_ups: 1,
+                deadline_misses: 0
+            }
         );
     }
 

@@ -11,6 +11,14 @@
 //! * a batch lookup is **split** by entity range, issued per shard, and
 //!   the rows **merged** back into request order — callers see exactly the
 //!   semantics of a single whole-table daemon, bit for bit;
+//! * the per-shard sub-lookups are **scatter-gathered**: each routing
+//!   round writes every shard's request (`RetryClient::start`) before
+//!   reading any response (`RetryClient::finish`, in shard order), so N
+//!   shards cost about one daemon round trip rather than N in series;
+//! * a failed sub-lookup is reported only after every other sub-lookup
+//!   of its round has been **drained** — read to completion, retries
+//!   included — so no connection is left holding a response that the next
+//!   lookup would read as its own;
 //! * a `WrongShard` answer (the map went stale under us — a daemon was
 //!   hot-swapped to a different range) invalidates the cached map,
 //!   reloads it, and re-routes the missed items, bounded by
@@ -266,8 +274,9 @@ impl ShardRouter {
                 let shard = self.map.shard_for(id)?;
                 groups[shard.shard_id as usize].push((orig, id));
             }
-            let mut redo: Vec<(usize, u32)> = Vec::new();
-            let mut last_redirect: Option<ShardRedirect> = None;
+            // Scatter: write every shard's sub-lookup before reading any,
+            // so the daemons serve this round in parallel.
+            let mut in_flight = Vec::new();
             for (shard_idx, group) in groups.into_iter().enumerate() {
                 if group.is_empty() {
                     continue;
@@ -275,7 +284,17 @@ impl ShardRouter {
                 let addr_index = self.map.entries()[shard_idx].addr_index;
                 let ids: Vec<u32> = group.iter().map(|&(_, id)| id).collect();
                 self.stats.sub_lookups += 1;
-                match self.client(addr_index).lookup(&ids) {
+                let sub = self.client(addr_index).start(&ids, None);
+                in_flight.push((addr_index, group, sub));
+            }
+            // Gather in shard order. Every started sub-lookup is finished,
+            // even after a failure, so no connection keeps an unread
+            // response for the next lookup to mistake for its own.
+            let mut redo: Vec<(usize, u32)> = Vec::new();
+            let mut last_redirect: Option<ShardRedirect> = None;
+            let mut failure: Option<RouterError> = None;
+            for (addr_index, group, sub) in in_flight {
+                match self.client(addr_index).finish(sub) {
                     Ok(rows) => {
                         for ((orig, _), row) in group.iter().zip(rows) {
                             out[*orig] = Some(row);
@@ -289,13 +308,16 @@ impl ShardRouter {
                             redo.extend(group);
                         }
                         None => {
-                            return Err(RouterError::Lookup {
+                            failure.get_or_insert(RouterError::Lookup {
                                 addr: self.addrs[addr_index].clone(),
                                 error,
-                            })
+                            });
                         }
                     },
                 }
+            }
+            if let Some(failure) = failure {
+                return Err(failure);
             }
             if let Some(redirect) = last_redirect {
                 if hops >= self.max_redirects {
@@ -316,9 +338,9 @@ impl ShardRouter {
     }
 
     fn client(&mut self, addr_index: usize) -> &mut RetryClient {
-        let addr = self.addrs[addr_index].clone();
-        let policy = self.policy.clone();
-        self.clients[addr_index].get_or_insert_with(|| RetryClient::new(addr, policy))
+        let (addrs, policy) = (&self.addrs, &self.policy);
+        self.clients[addr_index]
+            .get_or_insert_with(|| RetryClient::new(addrs[addr_index].clone(), policy.clone()))
     }
 }
 

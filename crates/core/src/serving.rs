@@ -102,7 +102,9 @@ struct Shard {
 /// where batches sweep items in waves — while sharding confines each flush
 /// to `1/n_shards` of the cached entries.
 pub struct CachedService {
-    inner: KnowledgeService,
+    /// Shared, not owned: a serving daemon's every generation wraps the
+    /// one model it loaded.
+    inner: Arc<KnowledgeService>,
     /// Optional precomputed condensed table: misses whose id it covers are
     /// served by a row copy (or deterministic dequantization for quantized
     /// snapshots) instead of live matvecs. Sequence services always compute
@@ -126,8 +128,9 @@ impl CachedService {
     /// The shard count scales with capacity (one shard per four entries, up
     /// to [`MAX_SHARDS`]) so tiny caches keep their full capacity in a
     /// single shard.
-    pub fn new(inner: KnowledgeService, capacity: usize) -> Self {
+    pub fn new(inner: impl Into<Arc<KnowledgeService>>, capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        let inner = inner.into();
         let n_shards = (capacity / 4).clamp(1, MAX_SHARDS);
         let (d, k) = (inner.dim(), inner.k());
         Self {
@@ -149,10 +152,11 @@ impl CachedService {
     /// entirely (dense row copy, or deterministic dequantization for
     /// quantized snapshots), turning the miss path into pure memory reads.
     pub fn with_snapshot(
-        inner: KnowledgeService,
+        inner: impl Into<Arc<KnowledgeService>>,
         capacity: usize,
         snapshot: ServiceSnapshot,
     ) -> Self {
+        let inner = inner.into();
         assert_eq!(
             snapshot.dim(),
             inner.dim(),
@@ -333,7 +337,10 @@ impl CachedService {
     }
 
     /// Cached condensed services for a batch, order preserved. Unique misses
-    /// are computed in parallel with per-thread scratch buffers.
+    /// are computed in parallel with per-thread scratch buffers — unless
+    /// the snapshot covers every one of them: a row copy costs tens of
+    /// nanoseconds, far less than spawning the fan-out's threads, so such
+    /// misses resolve on the calling thread.
     pub fn condensed_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<f32>>> {
         let mut out: Vec<Option<Arc<Vec<f32>>>> = Vec::with_capacity(items.len());
         let mut missing: Vec<u32> = Vec::new();
@@ -366,23 +373,29 @@ impl CachedService {
                 .collect();
         }
         let d = self.inner.dim();
-        let fresh: Vec<Vec<(u32, CondensedVector)>> = missing
-            .par_chunks(MISS_CHUNK)
-            .map(|chunk| {
-                let mut scratch = ServiceScratch::new(d);
-                chunk
-                    .iter()
-                    .map(|&id| {
-                        let mut v = vec![0.0f32; 2 * d];
-                        if !self.snapshot_condensed_into(id, &mut v) {
-                            self.inner
-                                .condensed_service_into(EntityId(id), &mut scratch, &mut v);
-                        }
-                        (id, Arc::new(v))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let resolve = |chunk: &[u32]| {
+            let mut scratch = ServiceScratch::new(d);
+            chunk
+                .iter()
+                .map(|&id| {
+                    let mut v = vec![0.0f32; 2 * d];
+                    if !self.snapshot_condensed_into(id, &mut v) {
+                        self.inner
+                            .condensed_service_into(EntityId(id), &mut scratch, &mut v);
+                    }
+                    (id, Arc::new(v))
+                })
+                .collect::<Vec<_>>()
+        };
+        let all_snapshot = self
+            .snapshot
+            .as_ref()
+            .is_some_and(|snap| missing.iter().all(|&id| snap.covers(id)));
+        let fresh: Vec<Vec<(u32, CondensedVector)>> = if all_snapshot {
+            vec![resolve(&missing)]
+        } else {
+            missing.par_chunks(MISS_CHUNK).map(resolve).collect()
+        };
         let mut computed = FxHashMap::default();
         for (id, value) in fresh.into_iter().flatten() {
             self.publish_condensed(id, &value);

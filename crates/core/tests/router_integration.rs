@@ -1,13 +1,14 @@
 //! Router-tier integration: routed batch lookups against real shard
 //! daemons are bit-identical to a single whole-table daemon, across shard
-//! counts 1–8 and boundary-straddling batches, and `WrongShard` redirects
-//! are followed through a live topology swap.
+//! counts 1–8 and boundary-straddling batches, `WrongShard` redirects
+//! are followed through a live topology swap, and a dead shard fails its
+//! lookup without leaving stale responses on the live shards' connections.
 
 use pkgm_core::model::{PkgmConfig, PkgmModel};
 use pkgm_core::snapshot::ServiceSnapshot;
 use pkgm_core::{
     serialize, shard_ranges, Daemon, DaemonClient, DaemonConfig, KnowledgeService, RetryPolicy,
-    ShardRouter, StdIo,
+    RouterError, ShardRouter, StdIo,
 };
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 use proptest::prelude::*;
@@ -166,6 +167,63 @@ fn wrong_shard_redirects_refresh_map_and_reroute() {
         d.shutdown();
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn dead_shard_fails_the_lookup_and_drains_the_live_ones() {
+    let svc = service(11);
+    let snap = ServiceSnapshot::build(&svc);
+    let n_rows = snap.n_rows() as u32;
+    let whole = Daemon::start(
+        "127.0.0.1:0",
+        svc.clone(),
+        Some(snap.clone()),
+        DaemonConfig::default(),
+    )
+    .unwrap();
+    let mut direct = DaemonClient::connect(&whole.local_addr().to_string()).unwrap();
+    let mut fleet = start_fleet(&svc, &snap, 3);
+    let addrs = fleet_addrs(&fleet);
+    let mut router = ShardRouter::connect(&addrs, RetryPolicy::default()).unwrap();
+    let ranges = shard_ranges(n_rows as u64, 3);
+    let live: Vec<u32> = [&ranges[0], &ranges[2]]
+        .into_iter()
+        .flat_map(|(spec, len)| spec.row_start as u32..(spec.row_start + len) as u32)
+        .collect();
+    // Warm every connection, so the failed lookup below writes to shards
+    // 0 and 2 over sockets the next lookup reuses.
+    let all: Vec<u32> = (0..n_rows).collect();
+    assert_eq!(
+        bits(&router.lookup(&all).unwrap()),
+        bits(&direct.lookup(&all).unwrap())
+    );
+
+    fleet.remove(1).shutdown();
+    // One id from each shard, in an order that differs from `live`, so a
+    // stale response left on a live connection could not pass for the
+    // next lookup's rows.
+    let straddling: Vec<u32> = ranges
+        .iter()
+        .rev()
+        .map(|(spec, len)| (spec.row_start + len - 1) as u32)
+        .collect();
+    match router.lookup(&straddling) {
+        Err(RouterError::Lookup { addr, .. }) => assert_eq!(addr, addrs[1]),
+        other => panic!("expected a lookup error naming the dead shard, got {other:?}"),
+    }
+    for _ in 0..3 {
+        let got = bits(&router.lookup(&live).unwrap());
+        assert_eq!(got, bits(&direct.lookup(&live).unwrap()));
+    }
+    assert_eq!(
+        router.stats().redirects,
+        0,
+        "a dead shard is not a redirect"
+    );
+    for d in fleet {
+        d.shutdown();
+    }
+    whole.shutdown();
 }
 
 proptest! {
